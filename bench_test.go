@@ -11,7 +11,6 @@
 package repro_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/appaware"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stability"
-	"repro/internal/sweep"
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
@@ -336,99 +334,43 @@ func BenchmarkAblationLimitSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel measures the scenario-sweep pool: the same
-// 8-scenario 3DMark+BML limit matrix executed serially and on 4
-// workers. On multi-core hardware the 4-worker run should complete
-// >1.8× faster; the determinism invariant guarantees both report
-// identical metrics.
+// BenchmarkSweepParallel measures worker scaling of the sweep's cell
+// executor: the 8-scenario 3DMark+BML limit matrix through RunSweep on
+// 1 and 4 workers. On multi-core hardware the 4-worker run should
+// complete faster; the determinism invariant guarantees both produce
+// identical bytes.
 func BenchmarkSweepParallel(b *testing.B) {
-	matrix := sweep.Matrix{
-		Platforms:  []string{experiments.PlatformOdroid},
-		Workloads:  []string{"3dmark+bml"},
-		Governors:  []string{experiments.GovAppAware},
-		LimitsC:    []float64{52, 58, 64, 70},
-		Replicates: 2,
-		DurationS:  10,
-		BaseSeed:   benchSeed,
-	}
-	scenarios, err := matrix.Scenarios()
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, workers := range []int{1, 4} {
-		b.Run("workers-"+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pool := &sweep.Pool{Workers: workers, RunFunc: experiments.RunScenario}
-				results, err := pool.Run(context.Background(), scenarios)
-				if err != nil {
-					b.Fatal(err)
-				}
-				summaries, err := sweep.Aggregate(results)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(summaries) != 4 {
-					b.Fatalf("want 4 cells, got %d", len(summaries))
-				}
-				b.ReportMetric(summaries[0].Metrics[experiments.MetricPeakC].Mean, "peakC-tight")
-				b.ReportMetric(summaries[3].Metrics[experiments.MetricPeakC].Mean, "peakC-loose")
-			}
-		})
+		b.Run("workers-"+itoa(workers), benchkit.SweepParallel(workers))
 	}
 }
 
-// BenchmarkSweepBatched measures the batched lockstep sweep executor
-// on the same 8-scenario matrix as BenchmarkSweepParallel: scenarios
-// grouped by platform, packed into lanes, and stepped together through
-// the fused structure-of-arrays thermal kernel on pooled engines. The
-// cells/sec metric is the comparison point — the PR-4 target is ≥2×
-// BenchmarkSweepParallel — and the output bytes are pinned identical
-// to the sequential path by the mobisim differential tests.
+// BenchmarkSweepBatched measures the lane width of the sweep's cell
+// executor on the same 8-scenario matrix as BenchmarkSweepParallel, on
+// one worker: scenarios grouped by thermal topology, packed into lanes,
+// and stepped together through the fused structure-of-arrays thermal
+// kernel on pooled engines. Output bytes are identical at every width.
 func BenchmarkSweepBatched(b *testing.B) {
 	for _, width := range []int{4, 8} {
 		b.Run("width-"+itoa(width), benchkit.SweepBatched(width))
 	}
 }
 
-// BenchmarkSweepSequentialBaseline is BenchmarkSweepParallel's matrix
-// through the same facade entry point the batched benchmark uses
-// (RunSweep, batching disabled), isolating the executor difference
-// from any facade overhead for benchdiff comparisons.
-func BenchmarkSweepSequentialBaseline(b *testing.B) {
-	benchkit.SweepParallel(1)(b)
-}
-
-// BenchmarkSweepWarm measures the prefix warm-start executor on the
-// replicate-heavy reference matrix (4 limits × 8 replicates): limit
-// cells grouped by prefix content key, each group's warm-up simulated
-// once on a sentinel, members forked from an engine snapshot. The
-// cells/sec metric is the PR-6 headline — the target is ≥1.5× the cold
-// batched executor on the same matrix — and warm output bytes are
-// pinned identical to cold by the mobisim warm-start tests.
+// BenchmarkSweepWarm measures prefix warm-start on the replicate-heavy
+// reference matrix (4 limits × 8 replicates): limit cells grouped by
+// prefix content key, each group's warm-up simulated once on a
+// sentinel, members forked from an engine snapshot in lockstep lanes of
+// width 8. Warm output bytes are pinned identical to cold runs by the
+// mobisim warm-start tests.
 func BenchmarkSweepWarm(b *testing.B) {
 	b.Run("batched-8", benchkit.SweepWarm(8))
-	b.Run("scalar", benchkit.SweepWarm(0))
 }
 
-// BenchmarkSweepWarmColdBaseline is the cold counterpart of
-// BenchmarkSweepWarm: the same replicate-heavy matrix on the batched
-// executor without warm-start, so benchdiff can compare like with like.
-func BenchmarkSweepWarmColdBaseline(b *testing.B) {
-	benchkit.SweepWarmColdBaseline(8)(b)
-}
-
-// BenchmarkDaemonSweepCold measures the simd daemon's compute path end
-// to end: the replicate-heavy matrix submitted over HTTP to an
-// in-process server, simulated, encoded, and fetched. Each iteration
-// shifts the base seed so its cells miss the cache.
-func BenchmarkDaemonSweepCold(b *testing.B) {
-	benchkit.DaemonSweepCold(b)
-}
-
-// BenchmarkDaemonSweepColdBatched is the cold daemon benchmark on the
-// batched lockstep executor (width 8, the daemon default). Result
-// bytes are identical to the scalar run's; cold cells/sec against
-// BenchmarkDaemonSweepCold is the PR-10 headline.
+// BenchmarkDaemonSweepColdBatched measures the simd daemon's compute
+// path end to end: the replicate-heavy matrix submitted over HTTP to an
+// in-process server, simulated in lockstep units of width 8 (the
+// daemon default), encoded, and fetched. Each iteration shifts the
+// base seed so its cells miss the cache.
 func BenchmarkDaemonSweepColdBatched(b *testing.B) {
 	benchkit.DaemonSweepColdBatched(b)
 }

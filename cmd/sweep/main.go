@@ -1,8 +1,10 @@
 // Command sweep expands a scenario matrix — from a declarative JSON
-// spec file or from flags — and runs it on the parallel worker pool,
-// emitting aggregated summaries (and optionally raw per-scenario
-// results) as JSON or CSV. Scenario runs are constant-memory: metrics
-// stream out of accumulators instead of materialized traces.
+// spec file or from flags — and runs it on the cell executor (lockstep
+// lanes on a parallel worker pool, limit cells sharing a warm-up
+// prefix forked from one checkpoint), emitting aggregated summaries
+// (and optionally raw per-scenario results) as JSON or CSV. Scenario
+// runs are constant-memory: metrics stream out of accumulators instead
+// of materialized traces.
 //
 // Usage:
 //
@@ -12,8 +14,7 @@
 //	sweep -governors appaware,ipa -format csv       # arm comparison as CSV
 //	sweep -platforms nexus6p -workloads paper.io -governors stepwise,none
 //	sweep -platform-spec testdata/platforms/smalldie.json -platforms smalldie -workloads gen-bursty -governors none
-//	sweep -batch -1                                 # batched lockstep executor (default width)
-//	sweep -warm-start -replicates 8                 # fork limit cells from shared-prefix snapshots
+//	sweep -batch 1                                  # one lane per lockstep unit (default width 8)
 //	sweep -cache-dir ~/.cache/mobisim               # memoize cells in the daemon's disk cache
 //	sweep -daemon http://localhost:8377             # submit to a running simd daemon
 //	sweep -cpuprofile cpu.out -memprofile mem.out   # profile the sweep hot path
@@ -51,8 +52,7 @@ func main() {
 		duration     = flag.Float64("duration", 120, "simulated seconds per scenario")
 		seed         = flag.Int64("seed", 1, "base seed for per-replicate seed derivation")
 		workers      = flag.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
-		batch        = flag.Int("batch", 0, "lockstep batch width: scenarios stepped together through the fused SoA kernel (0 = sequential engines, -1 = default width)")
-		warmStart    = flag.Bool("warm-start", false, "group limit-aware cells by prefix content key, simulate each group's shared warm-up once, and fork members from an engine snapshot (output bytes are identical either way)")
+		batch        = flag.Int("batch", 0, "lockstep lane width: cells stepped together through the fused SoA kernel (<= 0 = default width 8; output bytes are identical for every width)")
 		cacheDir     = flag.String("cache-dir", "", "content-addressed result cache root shared with the simd daemon; cached cells are served from disk instead of resimulated (output bytes are identical either way)")
 		daemonURL    = flag.String("daemon", "", "base URL of a running simd daemon; the sweep is submitted as a job and the daemon's result bytes are emitted verbatim (json only, retried with backoff across daemon restarts)")
 		format       = flag.String("format", "json", "output format: json or csv")
@@ -79,15 +79,9 @@ func main() {
 		fatal(err)
 	}
 
-	// The cache path runs cells through the daemon's scheduler, which
-	// the batch/warm-start executors bypass — the combinations would
-	// silently ignore one flag, so refuse them.
-	if *cacheDir != "" && (*batch != 0 || *warmStart) {
-		fatal(fmt.Errorf("-cache-dir is incompatible with -batch and -warm-start (the cache scheduler replaces those executors)"))
-	}
 	if *daemonURL != "" {
-		if *cacheDir != "" || *batch != 0 || *warmStart {
-			fatal(fmt.Errorf("-daemon is incompatible with -cache-dir, -batch and -warm-start (the daemon schedules cells itself)"))
+		if *cacheDir != "" || *batch != 0 {
+			fatal(fmt.Errorf("-daemon is incompatible with -cache-dir and -batch (the daemon schedules cells itself)"))
 		}
 		if *format != "json" {
 			fatal(fmt.Errorf("-daemon emits the daemon's result bytes verbatim, which are json; use -format json"))
@@ -160,16 +154,10 @@ func main() {
 		nWorkers = size // the pool clamps too; keep the banner honest
 	}
 	width := *batch
-	if width < 0 {
+	if width <= 0 {
 		width = mobisim.DefaultBatchWidth
 	}
-	mode := ""
-	if width > 0 {
-		mode = fmt.Sprintf(", lockstep batches of %d", width)
-	}
-	if *warmStart {
-		mode += ", prefix warm-start"
-	}
+	mode := fmt.Sprintf(", lockstep batches of %d", width)
 	// The disk cache degrades instead of gating the sweep: an unusable
 	// -cache-dir warns and runs uncached rather than aborting.
 	cache := openCacheOrWarn(*cacheDir, os.Stderr)
@@ -209,16 +197,16 @@ func main() {
 	var out *mobisim.SweepOutput
 	if cache != nil {
 		var stats simd.RunStats
-		out, stats, err = simd.RunSweepCached(ctx, matrix, nWorkers, *raw, cache)
+		out, stats, err = simd.RunSweepCached(ctx, matrix, nWorkers, width, *raw, cache)
 		stopCPUProfile()
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "sweep: done in %.1fs (%d/%d cells from cache, %d computed, %d warm-started)\n",
+		fmt.Fprintf(os.Stderr, "sweep: done in %.1fs (%d/%d cells from cache, %d computed, %d of them in warm units)\n",
 			time.Since(start).Seconds(), stats.CacheHits(), stats.Total,
-			stats.ByOrigin[simd.OriginComputed], stats.ByOrigin[simd.OriginComputedWarm])
+			stats.Computed(), stats.ByOrigin[simd.OriginComputedWarm])
 	} else {
-		out, err = mobisim.RunSweep(ctx, matrix, mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: width, WarmStart: *warmStart})
+		out, err = mobisim.RunSweep(ctx, matrix, mobisim.SweepConfig{Workers: nWorkers, IncludeRaw: *raw, BatchWidth: width})
 		stopCPUProfile()
 		if err != nil {
 			fatal(err)

@@ -41,17 +41,17 @@ func SweepMatrix() mobisim.Matrix {
 	}
 }
 
-// SweepParallel returns the sequential-engine sweep benchmark: the
-// matrix executed one engine per scenario on a worker pool of the
-// given width. It reports cells/sec, the sweep throughput headline.
+// SweepParallel returns the worker-scaling sweep benchmark: the
+// matrix executed through RunSweep's cell executor on a worker pool of
+// the given size (0 = GOMAXPROCS) at the default lane width. It
+// reports cells/sec, the sweep throughput headline.
 func SweepParallel(workers int) func(b *testing.B) {
 	return sweepBench(mobisim.SweepConfig{Workers: workers})
 }
 
-// SweepBatched returns the batched lockstep sweep benchmark: the same
-// matrix executed on pooled batch engines with the given lane width.
-// Output bytes are identical to SweepParallel's; only the throughput
-// differs.
+// SweepBatched returns the lane-width sweep benchmark: the same matrix
+// on one worker with the given lane width. Output bytes are identical
+// for every width; only the throughput differs.
 func SweepBatched(width int) func(b *testing.B) {
 	return sweepBench(mobisim.SweepConfig{Workers: 1, BatchWidth: width})
 }
@@ -84,9 +84,9 @@ const WarmSweepCells = 32
 // matrix: 4 thermal limits × 8 seed replicates of the Odroid 3DMark+BML
 // appaware study, 10 simulated seconds each. The limits sit above the
 // governor's early-action region on this workload, so warm groups share
-// long prefixes — the case prefix warm-start exists for. Cold and warm
-// executors produce byte-identical output on it (pinned by the mobisim
-// warm-start tests); only throughput differs.
+// long prefixes — the case prefix warm-start exists for. Warm units
+// produce byte-identical output to cold runs on it (pinned by the
+// mobisim warm-start tests); only throughput differs.
 func WarmSweepMatrix() mobisim.Matrix {
 	return mobisim.Matrix{
 		Platforms:  []string{mobisim.PlatformOdroidXU3},
@@ -100,18 +100,9 @@ func WarmSweepMatrix() mobisim.Matrix {
 }
 
 // SweepWarm returns the warm-start sweep benchmark: the replicate-heavy
-// matrix with prefix grouping and fork-from-snapshot enabled, forks
-// running batched at the given lane width (0 = scalar forks).
+// matrix, whose limit cells RunSweep groups by prefix and forks from a
+// shared checkpoint, on one worker at the given lane width.
 func SweepWarm(width int) func(b *testing.B) {
-	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
-		mobisim.SweepConfig{Workers: 1, BatchWidth: width, WarmStart: true})
-}
-
-// SweepWarmColdBaseline returns the cold counterpart of SweepWarm: the
-// same replicate-heavy matrix on the batched lockstep executor without
-// warm-start, so the committed trajectory carries both sides of the
-// comparison.
-func SweepWarmColdBaseline(width int) func(b *testing.B) {
 	return sweepBenchOn(WarmSweepMatrix(), 4, WarmSweepCells,
 		mobisim.SweepConfig{Workers: 1, BatchWidth: width})
 }
@@ -177,9 +168,9 @@ func newEngineObserved(b *testing.B, seed int64, obs sim.Observer) *sim.Engine {
 	return eng
 }
 
-// EngineStep measures one scalar engine step (the oracle path) on the
-// full Odroid scenario — the per-step counterpart of
-// BenchmarkEngineStepNoRecording.
+// EngineStep measures one solo engine step — the step core with the
+// engine's own thermal integration — on the full Odroid scenario, the
+// per-step counterpart of BenchmarkEngineStepNoRecording.
 func EngineStep(b *testing.B) {
 	eng := NewEngine(b, Seed)
 	b.ResetTimer()
@@ -190,7 +181,7 @@ func EngineStep(b *testing.B) {
 	}
 }
 
-// ForkedEngineStep measures one scalar step on an engine forked from a
+// ForkedEngineStep measures one solo step on an engine forked from a
 // snapshot: the source engine runs into steady state, snapshots, and a
 // fresh engine restores the blob and crosses a few control ticks before
 // the timer starts. This is the warm-start executor's fork-path steady

@@ -118,8 +118,7 @@ func (r *ScenarioRun) Metrics() map[string]float64 {
 	return r.facade.Metrics()
 }
 
-// RunScenario adapts a sweep.Scenario to a concrete simulation: it is
-// this repo's sweep.RunFunc. Runs are constant-memory (no trace series
+// RunScenario adapts a sweep.Scenario to a concrete simulation. Runs are constant-memory (no trace series
 // are materialized; every metric comes from streaming accumulators).
 // Cancellation is at scenario granularity — a canceled context stops
 // the scenario before it starts.

@@ -29,8 +29,8 @@ type SweepPoint struct {
 // conclusion proposes: any new governor can be dropped into the same
 // scenario and compared against these curves.
 //
-// It is a thin wrapper over the sweep pool running one scenario per
-// limit across GOMAXPROCS workers; every limit reuses the same seed (a
+// It runs one scenario per limit on the sweep worker pool across
+// GOMAXPROCS workers; every limit reuses the same seed (a
 // paired design), and the engine's determinism makes the output
 // identical to the original serial loop, point for point.
 //
@@ -48,9 +48,10 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 	if len(limitsC) == 0 {
 		return nil, fmt.Errorf("experiments: sweep needs at least one limit")
 	}
-	scenarios := make([]sweep.Scenario, len(limitsC))
+	out := make([]SweepPoint, len(limitsC))
+	tasks := make([]func(ctx context.Context) error, len(limitsC))
 	for i, limitC := range limitsC {
-		scenarios[i] = sweep.Scenario{
+		i, sc := i, sweep.Scenario{
 			Index:     i,
 			Platform:  PlatformOdroid,
 			Workload:  "3dmark+bml",
@@ -59,21 +60,24 @@ func LimitSweepParallel(ctx context.Context, limitsC []float64, durationS float6
 			DurationS: durationS,
 			Seed:      seed,
 		}
-	}
-	pool := &sweep.Pool{Workers: workers, RunFunc: RunScenario}
-	results, err := pool.Run(ctx, scenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(results))
-	for i, r := range results {
-		out[i] = SweepPoint{
-			LimitC:        r.Scenario.LimitC,
-			GT1FPS:        r.Metrics[MetricGT1FPS],
-			PeakC:         r.Metrics[MetricPeakC],
-			Migrations:    int(r.Metrics[MetricMigrations]),
-			BMLIterations: uint64(r.Metrics[MetricBMLIterations]),
+		tasks[i] = func(ctx context.Context) error {
+			m, err := RunScenario(ctx, sc)
+			if err != nil {
+				return fmt.Errorf("experiments: limit %g: %w", sc.LimitC, err)
+			}
+			out[i] = SweepPoint{
+				LimitC:        sc.LimitC,
+				GT1FPS:        m[MetricGT1FPS],
+				PeakC:         m[MetricPeakC],
+				Migrations:    int(m[MetricMigrations]),
+				BMLIterations: uint64(m[MetricBMLIterations]),
+			}
+			return nil
 		}
+	}
+	pool := &sweep.TaskPool{Workers: workers}
+	if err := pool.Run(ctx, tasks); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,18 +1,20 @@
-// Batched lockstep execution: BatchEngine steps B independent engines
-// through one fused per-step path, so a scenario sweep pays the
-// expensive O(m²) thermal kernel once per batch (cache-hot, over
-// structure-of-arrays state) instead of once per engine, and the
+// The step core and batched lockstep execution. Every engine steps
+// through stepPre (demand, governors, controller, scheduling, power,
+// metering), a thermal integration, and stepPost (DVFS advance,
+// workload consumption, observation). A solo Engine integrates its own
+// network between the halves; a BatchEngine steps B independent
+// engines together and integrates all their networks in one fused
+// structure-of-arrays pass, so a sweep pays the O(m²) thermal kernel
+// once per batch, cache-hot, instead of once per engine. The
 // per-lane bookkeeping runs on flat index-addressed caches instead of
 // the map-backed boundary APIs.
 //
 // Lanes never interact: every float64 a lane computes is produced by
-// the same operations in the same order as a solo Engine run, so a
-// batched lane is bitwise-identical to the scalar path (pinned by the
-// batch differential tests and the sweep golden tests). stepPre and
-// stepPost below are the scalar step() split around the thermal
-// integration, with map lookups replaced by the fastPath caches; any
-// semantic change to step() must be mirrored here (TestBatchMatchesScalar
-// fails loudly if the two drift).
+// the same operations in the same order as a solo run, so a batched
+// lane is bitwise-identical to a solo engine. TestBatchMatchesScalar
+// pins the fused kernel against the scalar Network.Step, and the
+// frozen pre-refactor step loop in frozen_diff_test.go pins the core
+// itself.
 package sim
 
 import (
@@ -31,7 +33,7 @@ import (
 )
 
 // fastPath is the flat, index-addressed view of an engine's per-step
-// state: everything step() reaches through a map or an error-checked
+// state: everything the step reaches through a map or an error-checked
 // accessor, resolved once. Built lazily by initFast; the task-aligned
 // slices are re-resolved whenever the scheduler's task-set epoch moves.
 type fastPath struct {
@@ -54,8 +56,7 @@ type fastPath struct {
 	epoch   uint64
 
 	// sample carries the per-step power reading from stepPre to
-	// stepPost (the scalar path keeps it on the stack across the
-	// thermal step; the split path cannot).
+	// stepPost across the thermal integration.
 	sample power.Sample
 
 	// Scheduling memo. One step's assignment is a pure function of the
@@ -124,8 +125,8 @@ func (fp *fastPath) refreshTasks(e *Engine) {
 	fp.sigValid = false
 }
 
-// stepPre runs the scalar step()'s phases up to — and excluding — the
-// thermal integration: demand, CPUfreq governors, thermal governor,
+// stepPre runs the step's phases up to — and excluding — the thermal
+// integration: demand, CPUfreq governors, thermal governor,
 // controller, scheduling, GPU sharing, power, attribution, metering.
 // It leaves the per-node power injection in e.powers and the power
 // sample in e.fast.sample for stepPost.
@@ -133,6 +134,11 @@ func (e *Engine) stepPre() error {
 	fp := &e.fast
 	dt := e.cfg.StepS
 	now := e.now
+	if fp.epoch != e.sched.Epoch() {
+		// The task set changed between steps (a caller added or removed
+		// a task through Scheduler()); re-resolve before touching it.
+		fp.refreshTasks(e)
+	}
 
 	// 1. Application demand.
 	totalGPUDemand := 0.0
@@ -267,7 +273,7 @@ func (e *Engine) stepPre() error {
 			scale = gpuFreq / totalGPUDemand
 		}
 		// Accumulate in app-spec order: float addition is not
-		// associative, and batched lanes must match scalar runs bitwise.
+		// associative, and same-seed runs must be bitwise identical.
 		for i := range e.apps {
 			d := e.gpuDemand[i]
 			if d == 0 {
@@ -387,9 +393,9 @@ func (e *Engine) stepPre() error {
 	return nil
 }
 
-// stepPost runs the scalar step()'s phases after the thermal
-// integration: DVFS advance, workload consumption, peak tracking, and
-// trace-period sample publication.
+// stepPost runs the step's phases after the thermal integration: DVFS
+// advance, workload consumption, peak tracking, and trace-period sample
+// publication.
 func (e *Engine) stepPost() error {
 	fp := &e.fast
 	dt := e.cfg.StepS

@@ -1,11 +1,12 @@
 package sim_test
 
 // Differential tests for the batched lockstep path: a lane of a
-// BatchEngine must be bitwise-identical to the same engine stepped
-// alone through the scalar oracle path, across platforms, thermal
-// arms, controllers and batch widths. Combined with the frozen-loop
-// differential test (scalar vs the pre-refactor step), this transitively
-// pins the batched path to the original implementation.
+// BatchEngine, integrated by the fused kernel, must be bitwise-identical
+// to the same engine stepped alone, integrated by its own scalar
+// Network.Step, across platforms, thermal arms, controllers and batch
+// widths. Combined with the frozen-loop differential test (solo engine
+// vs the pre-refactor step), this transitively pins the batched path
+// to the original implementation.
 
 import (
 	"math"

@@ -8,41 +8,37 @@ import (
 	"repro/pkg/mobisim"
 )
 
-// Batched cell execution.
+// Cell execution.
 //
-// RunCellsBatched is the daemon's fast path for cold matrices: instead
-// of one scalar engine per cache miss (RunCell via runCells), the
-// misses a job leads are planned into lockstep batch units — grouped by
-// thermal topology and duration, with limit-aware cells sharing a
-// warm-up prefix forked from an in-memory sentinel checkpoint — and
-// stepped together through the fused SoA kernel on pooled engines.
+// RunCellsBatched is the daemon's one compute path: the cache misses a
+// job leads are planned into lockstep units by the mobisim cell
+// executor — grouped by thermal topology and duration, with
+// limit-aware cells sharing a warm-up prefix forked from an in-memory
+// sentinel checkpoint — and stepped together through the fused SoA
+// kernel on pooled engines.
 //
-// Everything else about the scheduler contract is unchanged, because
-// unit results are fed back through the same singleflight flights the
-// scalar path uses: cross-job dedup (a follower from any job attaches
-// to a lane's flight), the two-tier cache (publish stores each lane's
-// metrics under its CellKey), per-lane sample taps (each lane gets its
-// own observer recording into its flight), per-caller cancellation (a
-// unit runs under the scheduler base and is canceled only when every
-// member flight has lost its last waiter), and journal replay (the
-// caller's onCell fires per completed cell exactly as before). Lanes
-// never interact and chunked stepping is trajectory-identical, so
-// batched metrics are bitwise-identical to the scalar path — the PR 4/6
-// invariant, re-pinned for the daemon by the batch tests.
+// Unit results are fed back through singleflight flights, which carry
+// the scheduler contract: cross-job dedup (a follower from any job
+// attaches to a lane's flight), the two-tier cache (publish stores each
+// lane's metrics under its CellKey), per-lane sample taps (each lane
+// gets its own observer recording into its flight), per-caller
+// cancellation (a unit runs under the scheduler base and is canceled
+// only when every member flight has lost its last waiter), and journal
+// replay (the caller's onCell fires per completed cell). Lanes never
+// interact and chunked stepping is trajectory-identical, so the
+// metrics are bitwise-identical to mobisim.RunSweep's.
 //
-// Two scalar-path behaviors intentionally do not carry over: batched
-// warm starts checkpoint in memory within the job instead of consulting
-// the cross-run disk snapshot store (Origin stays "computed", not
-// "computed-warm"), and members of a warm group whose sentinel never
-// acts reuse the sentinel's simulation outright, so their sample
-// streams are empty — sample events are best-effort by contract.
+// Members of a warm group whose sentinel never acts reuse the
+// sentinel's simulation outright, so their sample streams are empty —
+// sample events are best-effort by contract.
 
 // RunCellsBatched executes cells through the singleflight scheduler
-// with this job's cache misses run as lockstep batch units of at most
-// width lanes (width <= 0 selects mobisim.DefaultBatchWidth). The
-// returned metrics are in cell order; onCell and tapFor follow the
-// runCells contract, except that onCell fires in cell order rather
-// than completion order.
+// with this job's cache misses run as lockstep units of at most width
+// lanes (width <= 0 selects mobisim.DefaultBatchWidth) on at most
+// workers concurrent units (<= 0 uses GOMAXPROCS). The returned
+// metrics are in cell order. onCell, when non-nil, fires once per
+// cell in cell order from the calling goroutine; tapFor, when non-nil,
+// supplies each cell's sample tap.
 func (s *Scheduler) RunCellsBatched(ctx context.Context, cells []mobisim.Cell, width, workers int, onCell func(i int, origin Origin, metrics map[string]float64), tapFor func(i int) SampleFunc) ([]map[string]float64, RunStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, RunStats{}, err
@@ -65,7 +61,8 @@ func (s *Scheduler) RunCellsBatched(ctx context.Context, cells []mobisim.Cell, w
 	var pend []pending
 	var leaderIdx []int // pend positions of the leaders, in join order
 	for i := range cells {
-		if m, tier := s.cache.Get(cells[i].Key); tier != TierMiss {
+		m, tier, fl, leader := s.resolve(cells[i].Key)
+		if tier != TierMiss {
 			origins[i] = OriginMemCache
 			if tier == TierDisk {
 				origins[i] = OriginDiskCache
@@ -76,16 +73,13 @@ func (s *Scheduler) RunCellsBatched(ctx context.Context, cells []mobisim.Cell, w
 			}
 			continue
 		}
-		fl, leader := s.join(cells[i].Key)
 		if leader {
 			leaderIdx = append(leaderIdx, len(pend))
 		}
 		pend = append(pend, pending{i: i, fl: fl, leader: leader})
 	}
 
-	// Phase 2: plan the led cells into units and launch them. In-job
-	// prefix warm-start needs no disk snapshot store — sentinels
-	// checkpoint in memory — so warm grouping is unconditional.
+	// Phase 2: plan the led cells into units and launch them.
 	if len(leaderIdx) > 0 {
 		specs := make([]mobisim.Scenario, len(leaderIdx))
 		keys := make([]uint64, len(leaderIdx))
@@ -159,12 +153,12 @@ func (s *Scheduler) RunCellsBatched(ctx context.Context, cells []mobisim.Cell, w
 
 // launchUnits runs planned units on detached goroutines bounded by a
 // workers-wide semaphore, publishing each unit's outcome into its
-// member flights. Like scalar compute goroutines, units derive their
-// context from the scheduler base — not the submitting job — so a unit
-// outlives a canceled caller while any cross-job waiter remains; a
-// per-unit watcher cancels it once every member flight is done or
-// abandoned (each flight context ends either way), after which the
-// next poll aborts the unit within ctxCheckSteps steps.
+// member flights. Units derive their context from the scheduler base —
+// not the submitting job — so a unit outlives a canceled caller while
+// any cross-job waiter remains; a per-unit watcher cancels it once
+// every member flight is done or abandoned (each flight context ends
+// either way), after which the next poll aborts the unit within
+// ctxCheckSteps steps.
 func (s *Scheduler) launchUnits(specs []mobisim.Scenario, keys []uint64, flights []*flight, units []mobisim.BatchPlanUnit, width, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -192,10 +186,10 @@ func (s *Scheduler) launchUnits(specs []mobisim.Scenario, keys []uint64, flights
 	}
 }
 
-// runUnit executes one unit and publishes per-lane outcomes. Lane
-// observers record into their flight's sample buffer; close(done) in
-// publish is the happens-before edge to waiters, the same contract the
-// scalar compute goroutine provides.
+// runUnit executes one unit and publishes per-lane outcomes, marking
+// the cells of a warm unit as warm. Lane observers record into their
+// flight's sample buffer; close(done) in publish is the happens-before
+// edge to waiters.
 func (s *Scheduler) runUnit(ctx context.Context, specs []mobisim.Scenario, keys []uint64, flights []*flight, u mobisim.BatchPlanUnit, width int) {
 	opt := mobisim.BatchRunOptions{
 		CtxCheckSteps: ctxCheckSteps,
@@ -224,6 +218,6 @@ func (s *Scheduler) runUnit(ctx context.Context, specs []mobisim.Scenario, keys 
 	s.batched.Add(1)
 	s.batchLanes.Add(uint64(len(u.Idx)))
 	for k, li := range u.Idx {
-		s.publish(keys[li], flights[li], out[k], false, nil)
+		s.publish(keys[li], flights[li], out[k], u.Warm, nil)
 	}
 }

@@ -3,7 +3,6 @@ package simd
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,50 +11,66 @@ import (
 )
 
 // TestSentinelTailCancellation is the regression pin for the post-event
-// sentinel tail: once an appaware governor acts, the remaining horizon
-// used to run as a single RunSteps call, so cancellation could not take
-// effect until the cell finished. The tail must now honor ctx within
-// one ctxCheckSteps chunk.
+// sentinel tail of a warm unit: once the sentinel's appaware governor
+// acts, the remaining horizon used to run as a single RunSteps call, so
+// cancellation could not take effect until the unit finished. With the
+// daemon's ctxCheckSteps the tail must honor ctx within one chunk.
 func TestSentinelTailCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	sched, _ := newTestScheduler(t)
-	spec := mobisim.Scenario{
+	const cancelAtS = 60.0
+	base := mobisim.Scenario{
 		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark+bml",
-		Governor: mobisim.GovAppAware, LimitC: 52, DurationS: 120, Seed: 1,
+		Governor: mobisim.GovAppAware, DurationS: 120, Seed: 1, ModelOnlyBML: true,
+	}
+	// The sentinel (the lowest limit) must act before the cancel point,
+	// or the test would not exercise the post-event tail.
+	probe := base
+	probe.LimitC = 52
+	probe.DurationS = cancelAtS
+	eng, err := mobisim.New(probe, mobisim.WithoutRecording())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.AppAware().EventCount() == 0 {
+		t.Fatal("governor never acted before the cancel point")
+	}
+	stepS := eng.Sim().StepS()
+
+	specs := []mobisim.Scenario{base, base}
+	specs[0].LimitC, specs[1].LimitC = 52, 70
+	units, err := mobisim.PlanBatchUnits(specs, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 1 || !units[0].Warm {
+		t.Fatalf("plan %+v, want one warm unit", units)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	const cancelAtS = 60.0
 	var lastSeenS float64
-	eng, err := newEngine(spec, func(s Sample) {
-		lastSeenS = s.TimeS
-		if s.TimeS >= cancelAtS {
-			cancel()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	opt := mobisim.BatchRunOptions{
+		CtxCheckSteps: ctxCheckSteps,
+		Observer: func(i int) mobisim.Observer {
+			if i != 0 {
+				return nil
+			}
+			return observerFunc(func(smp *mobisim.Sample) error {
+				lastSeenS = smp.TimeS
+				if smp.TimeS >= cancelAtS {
+					cancel()
+				}
+				return nil
+			})
+		},
 	}
-	aware := eng.AppAware()
-	if aware == nil {
-		t.Fatal("appaware cell built no appaware governor")
-	}
-	prefix, err := spec.PrefixKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepS := eng.Sim().StepS()
-	steps := int(math.Round(spec.DurationS / stepS))
-
-	_, _, err = sched.runSentinel(ctx, eng, aware, prefix, spec.LimitC, steps, stepS)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled sentinel returned %v, want context.Canceled", err)
-	}
-	if aware.EventCount() == 0 {
-		t.Fatal("governor never acted; the test did not exercise the post-event tail")
+	var runner mobisim.BatchRunner
+	if _, err := runner.RunUnit(ctx, specs, units[0], 0, opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled unit returned %v, want context.Canceled", err)
 	}
 	// The cancel fires mid-chunk; the engine finishes that chunk, then the
 	// loop-top poll returns. Overshoot past the cancel point is therefore
@@ -118,7 +133,7 @@ func TestDedupedNotCountedOnDetach(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = sched.RunCell(lctx, cell, nil)
+		_, _, _ = runCell(lctx, sched, cell, nil)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for refs() < 1 {
@@ -137,7 +152,7 @@ func TestDedupedNotCountedOnDetach(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, followErr = sched.RunCell(fctx, cell, nil)
+		_, _, followErr = runCell(fctx, sched, cell, nil)
 	}()
 	for refs() < 2 {
 		if time.Now().After(deadline) {

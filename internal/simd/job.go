@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -236,10 +237,13 @@ func (j *Job) Finish(result []byte) {
 }
 
 // Fail transitions to failed — or canceled, when the job's own context
-// was canceled — and closes the SSE feed.
+// was canceled or err is a cancellation — and closes the SSE feed. The
+// error check matters on hard shutdown: canceling the daemon's base
+// context reaches the units a job waits on before it reaches the job's
+// context, so the job can see its units' cancellation first.
 func (j *Job) Fail(err error) {
 	j.mu.Lock()
-	if j.ctx.Err() != nil {
+	if j.ctx.Err() != nil || errors.Is(err, context.Canceled) {
 		j.state = JobCanceled
 	} else {
 		j.state = JobFailed

@@ -2,12 +2,9 @@ package simd
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/thermal"
 	"repro/pkg/mobisim"
 )
 
@@ -15,10 +12,12 @@ import (
 type Origin string
 
 const (
-	// OriginComputed is a cold simulation run.
+	// OriginComputed is a cell simulated in a cold lockstep unit.
 	OriginComputed Origin = "computed"
-	// OriginComputedWarm is a simulation run warm-started from a cached
-	// prefix snapshot.
+	// OriginComputedWarm is a cell simulated inside a prefix warm-start
+	// unit: its group's shared warm-up ran once on a sentinel, and the
+	// cell forked from the sentinel's checkpoint (or shared its metrics
+	// outright when the sentinel never acted).
 	OriginComputedWarm Origin = "computed-warm"
 	// OriginMemCache is an in-memory cache hit.
 	OriginMemCache Origin = "mem-cache"
@@ -40,7 +39,8 @@ type Sample struct {
 
 // SampleFunc receives a cell's observer samples after the cell
 // completes. Cache hits deliver no samples (nothing was simulated),
-// and warm-started cells deliver only post-fork samples.
+// forked warm cells deliver only post-fork samples, and members of a
+// warm group whose sentinel never acted deliver none.
 type SampleFunc func(Sample)
 
 // maxFlightSamples bounds the per-flight sample buffer; a pathological
@@ -48,18 +48,17 @@ type SampleFunc func(Sample)
 // never to unbounded memory.
 const maxFlightSamples = 1 << 16
 
-// ctxCheckSteps is the cancellation-poll granularity of non-appaware
-// runs; chunked RunSteps is byte-identical to one Run call, so the
+// ctxCheckSteps is the cancellation-poll granularity of a running
+// unit; chunked RunSteps is byte-identical to one Run call, so the
 // chunk size is a latency knob only.
 const ctxCheckSteps = 4096
 
 // SchedulerStats is an atomic snapshot of the scheduler counters.
-// Computed counts every simulated cell regardless of executor;
-// WarmComputed the subset warm-started from a disk prefix snapshot;
-// Deduped the waiters actually served by another caller's flight.
-// Batched counts lockstep units the batched executor ran and
-// BatchLanes the cells that rode them as lanes, so
-// BatchLanes/Batched is the realized mean lane width.
+// Computed counts every simulated cell; WarmComputed the subset
+// computed inside a prefix warm-start unit; Deduped the waiters
+// actually served by another caller's flight. Batched counts the
+// lockstep units run and BatchLanes the cells that rode them, so
+// BatchLanes/Batched is the realized mean cells per unit.
 type SchedulerStats struct {
 	Computed     uint64 `json:"computed"`
 	WarmComputed uint64 `json:"warm_computed"`
@@ -69,10 +68,10 @@ type SchedulerStats struct {
 	Inflight     int    `json:"inflight"`
 }
 
-// Scheduler runs content-addressed cells at most once at a time per
-// CellKey: concurrent RunCell calls for the same key — from any job —
-// share one in-flight computation (singleflight), and completed keys
-// are served from the cache. Safe for concurrent use.
+// Scheduler runs content-addressed cells at most once per CellKey:
+// concurrent requests for the same key — from any job — share one
+// in-flight computation (singleflight), and completed keys are served
+// from the cache. Safe for concurrent use.
 type Scheduler struct {
 	base  context.Context
 	cache *Cache
@@ -86,8 +85,8 @@ type Scheduler struct {
 	batched      atomic.Uint64
 	batchLanes   atomic.Uint64
 
-	// batch is the shared lockstep runner behind RunCellsBatched; its
-	// engine-shell free list persists across jobs.
+	// batch is the shared lockstep runner; its engine-shell free list
+	// persists across jobs.
 	batch mobisim.BatchRunner
 }
 
@@ -100,7 +99,7 @@ type flight struct {
 	mu   sync.Mutex
 	refs int
 
-	// Written only by the compute goroutine before close(done); read by
+	// Written only by the unit goroutine before close(done); read by
 	// waiters after <-done (the close is the happens-before edge).
 	metrics map[string]float64
 	warm    bool
@@ -131,57 +130,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 		BatchLanes:   s.batchLanes.Load(),
 		Inflight:     inflight,
 	}
-}
-
-// RunCell returns the cell's metric set, from the cache when the key
-// is known, from another caller's in-flight run when one exists, and
-// by simulating otherwise. The returned map is the caller's to keep.
-// tap, when non-nil, receives the run's observer samples (in time
-// order, after completion) for computed and deduped origins.
-//
-// Cancellation is per caller: a canceled ctx detaches this waiter, and
-// the underlying computation is aborted only when its last waiter
-// detaches, so one client canceling a job never kills a cell another
-// job is waiting on.
-func (s *Scheduler) RunCell(ctx context.Context, cell mobisim.Cell, tap SampleFunc) (map[string]float64, Origin, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
-	}
-	if m, tier := s.cache.Get(cell.Key); tier != TierMiss {
-		if tier == TierDisk {
-			return m, OriginDiskCache, nil
-		}
-		return m, OriginMemCache, nil
-	}
-	fl, leader := s.join(cell.Key)
-	if leader {
-		go s.compute(fl, cell)
-	}
-	if err := awaitFlight(ctx, fl); err != nil {
-		s.leave(cell.Key, fl)
-		return nil, "", err
-	}
-	s.leave(cell.Key, fl)
-	if fl.err != nil {
-		return nil, "", fl.err
-	}
-	if tap != nil {
-		for i := range fl.samples {
-			tap(fl.samples[i])
-		}
-	}
-	origin := OriginComputed
-	switch {
-	case !leader:
-		// Counted at receipt, not at join: a waiter that detaches before
-		// the flight completes was never served a deduped result and must
-		// not drift the counter.
-		s.deduped.Add(1)
-		origin = OriginDeduped
-	case fl.warm:
-		origin = OriginComputedWarm
-	}
-	return copyMetrics(fl.metrics), origin, nil
 }
 
 // awaitFlight blocks until the flight completes or ctx is canceled.
@@ -221,11 +169,40 @@ func (s *Scheduler) join(key uint64) (*flight, bool) {
 	return fl, true
 }
 
+// resolve looks a cell up in the cache and, on a miss, joins (or
+// leads) its flight through joinOrHit.
+func (s *Scheduler) resolve(key uint64) (map[string]float64, Tier, *flight, bool) {
+	if m, tier := s.cache.Get(key); tier != TierMiss {
+		return m, tier, nil, false
+	}
+	return s.joinOrHit(key)
+}
+
+// joinOrHit joins the key's flight and, when that makes the caller
+// leader, re-checks the cache: a leader that published between the
+// caller's cache miss and this join has already stored the result and
+// retired its flight, and without the re-check the late caller would
+// simulate the cell a second time. A re-check hit retires the flight
+// just created, serving any follower that attached in the meantime the
+// cached metrics, and reports the hit instead of leadership.
+func (s *Scheduler) joinOrHit(key uint64) (map[string]float64, Tier, *flight, bool) {
+	fl, leader := s.join(key)
+	if !leader {
+		return nil, TierMiss, fl, false
+	}
+	m, tier := s.cache.get(key, false)
+	if tier == TierMiss {
+		return nil, TierMiss, fl, true
+	}
+	fl.metrics = m
+	s.retire(key, fl)
+	return m, tier, nil, false
+}
+
 // leave detaches one waiter; the last one out cancels the compute
-// context and retires the flight. A later RunCell for the same key
-// then starts fresh — if it races a still-unwinding compute, both
-// produce identical bytes by content addressing, so the race is
-// benign.
+// context and retires the flight. A later request for the same key
+// then starts fresh — if it races a still-unwinding unit, both produce
+// identical bytes by content addressing, so the race is benign.
 func (s *Scheduler) leave(key uint64, fl *flight) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,23 +218,10 @@ func (s *Scheduler) leave(key uint64, fl *flight) {
 	}
 }
 
-// compute runs the cell, publishes the outcome to waiters, stores a
-// success in the cache, and retires the flight.
-func (s *Scheduler) compute(fl *flight, cell mobisim.Cell) {
-	record := func(smp Sample) {
-		if len(fl.samples) < maxFlightSamples {
-			fl.samples = append(fl.samples, smp)
-		}
-	}
-	metrics, warm, err := s.computeCell(fl.ctx, cell, record)
-	s.publish(cell.Key, fl, metrics, warm, err)
-}
-
 // publish completes a leader flight: outcome fields, counters, the
-// cache store, the done broadcast, and flight retirement. Both the
-// scalar compute goroutine and the batched unit executor terminate
-// here, so cross-job waiters observe a batched cell exactly like a
-// scalar one.
+// cache store, then retirement. The cache store precedes retirement,
+// so a caller that finds no flight for the key finds the result in
+// the cache (resolve's re-check relies on this order).
 func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, warm bool, err error) {
 	fl.metrics, fl.warm, fl.err = metrics, warm, err
 	if err == nil {
@@ -269,6 +233,12 @@ func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, 
 		// memory tier and this flight's waiters still have the result.
 		_ = s.cache.Put(key, metrics)
 	}
+	s.retire(key, fl)
+}
+
+// retire broadcasts a completed flight to its waiters and removes it
+// from the flight table.
+func (s *Scheduler) retire(key uint64, fl *flight) {
 	close(fl.done)
 	fl.cancel()
 	s.mu.Lock()
@@ -282,150 +252,3 @@ func (s *Scheduler) publish(key uint64, fl *flight, metrics map[string]float64, 
 type observerFunc func(*mobisim.Sample) error
 
 func (f observerFunc) OnSample(smp *mobisim.Sample) error { return f(smp) }
-
-// newEngine builds the cell's engine with recording disabled (the
-// daemon never serves traces) and the sample tap attached. Observers
-// never perturb the simulated dynamics, so the tap cannot break
-// byte-identity with an unobserved cold run.
-func newEngine(spec mobisim.Scenario, record func(Sample)) (*mobisim.Engine, error) {
-	obs := observerFunc(func(smp *mobisim.Sample) error {
-		record(Sample{
-			TimeS:    smp.TimeS,
-			MaxTempC: thermal.ToCelsius(smp.MaxTempK),
-			SensorC:  thermal.ToCelsius(smp.SensorK),
-			TotalW:   smp.TotalW,
-		})
-		return nil
-	})
-	return mobisim.New(spec, mobisim.WithoutRecording(), mobisim.WithObserver(obs))
-}
-
-// computeCell simulates one cell. Appaware cells participate in the
-// prefix-snapshot store when the cache has one: a usable snapshot
-// warm-starts the run (warm=true), and a cold sentinel run records a
-// pre-event checkpoint for the next cell of its prefix group. All
-// paths step the same total count from the same state, so their
-// metrics are byte-identical to Engine.Run on a fresh engine — the PR 6
-// warm-start invariant the sweep tests pin.
-func (s *Scheduler) computeCell(ctx context.Context, cell mobisim.Cell, record func(Sample)) (map[string]float64, bool, error) {
-	eng, err := newEngine(cell.Spec, record)
-	if err != nil {
-		return nil, false, err
-	}
-	stepS := eng.Sim().StepS()
-	steps := int(math.Round(cell.Spec.DurationS / stepS))
-	aware := eng.AppAware()
-	if aware == nil || !s.cache.SnapshotsEnabled() {
-		if err := runChunked(ctx, eng, steps, ctxCheckSteps); err != nil {
-			return nil, false, err
-		}
-		return eng.Metrics(), false, nil
-	}
-
-	prefix, err := cell.Spec.PrefixKey()
-	if err != nil {
-		// CellKey resolved at expansion, so this cannot normally happen;
-		// degrade to a plain cold run rather than failing the cell.
-		if err := runChunked(ctx, eng, steps, ctxCheckSteps); err != nil {
-			return nil, false, err
-		}
-		return eng.Metrics(), false, nil
-	}
-
-	// The reuse gate mirrors the warm-start monotonicity argument: a
-	// checkpoint taken before its producing run's first limit-dependent
-	// action is valid for any same-prefix cell whose effective limit is
-	// >= the producer's (it acts no earlier) and whose horizon covers
-	// the checkpoint step.
-	effLimit := thermal.ToCelsius(eng.Platform().ThermalLimitK())
-	if cell.Spec.LimitC != 0 {
-		effLimit = cell.Spec.LimitC
-	}
-	if snap, ok := s.cache.GetSnapshot(prefix); ok && effLimit >= snap.LimitC && steps >= snap.Step {
-		if err := eng.Restore(snap.Blob); err == nil {
-			if err := runChunked(ctx, eng, steps-snap.Step, ctxCheckSteps); err != nil {
-				return nil, false, err
-			}
-			return eng.Metrics(), true, nil
-		}
-		// A structurally unusable blob (schema drift inside an otherwise
-		// well-formed file) falls back to a cold sentinel run on a fresh
-		// engine; Restore may have part-mutated this one.
-		if eng, err = newEngine(cell.Spec, record); err != nil {
-			return nil, false, err
-		}
-		aware = eng.AppAware()
-	}
-	return s.runSentinel(ctx, eng, aware, prefix, effLimit, steps, stepS)
-}
-
-// runSentinel runs the cell cold while checkpointing once per control
-// interval until the governor's first event, then stores the last
-// pre-event checkpoint in the snapshot store for future same-prefix
-// cells. The interval pacing only changes RunSteps chunking, never the
-// trajectory.
-func (s *Scheduler) runSentinel(ctx context.Context, eng *mobisim.Engine, aware *mobisim.AppAwareGovernor, prefix uint64, effLimit float64, steps int, stepS float64) (map[string]float64, bool, error) {
-	span := int(math.Round(aware.IntervalS() / stepS))
-	if span < 1 {
-		span = 1
-	}
-	var ckpt []byte
-	ckptStep := -1
-	acted := false
-	for done := 0; done < steps; {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		n := steps - done
-		if !acted {
-			blob, err := eng.Snapshot()
-			if err != nil {
-				return nil, false, fmt.Errorf("simd: sentinel snapshot: %w", err)
-			}
-			ckpt, ckptStep = blob, done
-			if n > span {
-				n = span
-			}
-		}
-		if n > ctxCheckSteps {
-			// Cancellation-latency cap, load-bearing for the post-event
-			// tail: without it the whole remaining horizon ran as one
-			// RunSteps call and DELETE-cancel, last-waiter detach and hard
-			// shutdown could not abort the cell until it finished. Chunking
-			// is byte-identical (see ctxCheckSteps); a finer checkpoint
-			// cadence under an oversized control interval is a cost knob.
-			n = ctxCheckSteps
-		}
-		if err := eng.RunSteps(n); err != nil {
-			return nil, false, err
-		}
-		done += n
-		if !acted && aware.EventCount() > 0 {
-			acted = true
-		}
-	}
-	if ckptStep >= 0 {
-		// Best-effort: a full store never fails the cell.
-		_ = s.cache.PutSnapshot(prefix, PrefixSnapshot{LimitC: effLimit, Step: ckptStep, Blob: ckpt})
-	}
-	return eng.Metrics(), false, nil
-}
-
-// runChunked advances the engine by exactly `steps` steps in chunks,
-// polling ctx between chunks.
-func runChunked(ctx context.Context, eng *mobisim.Engine, steps, chunk int) error {
-	for done := 0; done < steps; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := steps - done
-		if n > chunk {
-			n = chunk
-		}
-		if err := eng.RunSteps(n); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
-}

@@ -33,6 +33,21 @@ func coldMetrics(t *testing.T, spec mobisim.Scenario) map[string]float64 {
 	return eng.Metrics()
 }
 
+// runCell runs one cell through RunCellsBatched, reporting its origin:
+// from the cache when the key is known, from another caller's
+// in-flight run when one exists, and by simulating otherwise. tap,
+// when non-nil, receives the run's observer samples.
+func runCell(ctx context.Context, s *Scheduler, cell mobisim.Cell, tap SampleFunc) (map[string]float64, Origin, error) {
+	var origin Origin
+	metrics, _, err := s.RunCellsBatched(ctx, []mobisim.Cell{cell}, 1, 1,
+		func(_ int, o Origin, _ map[string]float64) { origin = o },
+		func(int) SampleFunc { return tap })
+	if err != nil {
+		return nil, "", err
+	}
+	return metrics[0], origin, nil
+}
+
 func newTestScheduler(t *testing.T) (*Scheduler, *Cache) {
 	t.Helper()
 	cache, err := NewCache(t.TempDir(), 64)
@@ -58,7 +73,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 	want := coldMetrics(t, cell.Spec)
 
 	var samples []Sample
-	m1, origin, err := sched.RunCell(context.Background(), cell, func(s Sample) { samples = append(samples, s) })
+	m1, origin, err := runCell(context.Background(), sched, cell, func(s Sample) { samples = append(samples, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +87,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 		t.Error("computed cell delivered no observer samples")
 	}
 
-	m2, origin, err := sched.RunCell(context.Background(), cell, func(s Sample) { t.Error("cache hit delivered samples") })
+	m2, origin, err := runCell(context.Background(), sched, cell, func(s Sample) { t.Error("cache hit delivered samples") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +96,7 @@ func TestSchedulerColdThenCached(t *testing.T) {
 	}
 
 	fresh := NewScheduler(context.Background(), mustReopen(t, cache))
-	m3, origin, err := fresh.RunCell(context.Background(), cell, nil)
+	m3, origin, err := runCell(context.Background(), fresh, cell, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +117,8 @@ func mustReopen(t *testing.T, c *Cache) *Cache {
 	return fresh
 }
 
-// TestSchedulerSingleflight is the dedup contract: concurrent RunCell
-// calls for one CellKey share a single computation — the simulation
+// TestSchedulerSingleflight is the dedup contract: concurrent requests
+// for one CellKey share a single computation — the simulation
 // runs exactly once, every waiter gets bitwise-identical metrics, and
 // the joiners are counted as deduped.
 func TestSchedulerSingleflight(t *testing.T) {
@@ -126,7 +141,7 @@ func TestSchedulerSingleflight(t *testing.T) {
 	}
 	results := make(chan res, 4)
 	run := func() {
-		m, o, err := sched.RunCell(context.Background(), cell, nil)
+		m, o, err := runCell(context.Background(), sched, cell, nil)
 		results <- res{m, o, err}
 	}
 	go run()
@@ -172,82 +187,90 @@ func TestSchedulerSingleflight(t *testing.T) {
 	}
 }
 
-// TestSchedulerWarmStartFromSnapshot pins the cross-run prefix
-// warm-start: an appaware sentinel run stores a checkpoint, and a
-// same-prefix higher-limit cell on a *fresh* scheduler warm-starts
-// from disk — with metrics byte-identical to its cold run.
-func TestSchedulerWarmStartFromSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	base := mobisim.Scenario{
-		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark+bml",
-		Governor: mobisim.GovAppAware, DurationS: 3, Seed: 1,
-	}
-	low, high := base, base
-	low.LimitC, high.LimitC = 52, 70
-	lowCell, highCell := mustCell(t, low), mustCell(t, high)
-
+// TestJoinOrHitRechecksCache is the exactly-once pin for the window
+// between a caller's cache miss and its join: a leader that publishes
+// in that window (cache Put, then flight retirement) leaves neither a
+// flight nor — without the re-check — a visible result, and the late
+// caller would simulate the cell again. After a Put with no flight in
+// the table, the join side must report the hit, not leadership, and
+// leave no flight behind.
+func TestJoinOrHitRechecksCache(t *testing.T) {
 	sched, cache := newTestScheduler(t)
-	if _, origin, err := sched.RunCell(context.Background(), lowCell, nil); err != nil || origin != OriginComputed {
-		t.Fatalf("sentinel run: origin %s err %v", origin, err)
-	}
-	if cache.Stats().SnapshotStores == 0 {
-		t.Fatal("sentinel run stored no prefix snapshot")
-	}
-
-	fresh := NewScheduler(context.Background(), mustReopen(t, cache))
-	got, origin, err := fresh.RunCell(context.Background(), highCell, nil)
-	if err != nil {
+	const key = 0x5eed
+	want := map[string]float64{"peak_c": 61.5}
+	if err := cache.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	if origin != OriginComputedWarm {
-		t.Fatalf("same-prefix cell origin: %s, want %s", origin, OriginComputedWarm)
+	m, tier, fl, leader := sched.joinOrHit(key)
+	if leader || fl != nil {
+		t.Fatalf("join after a completed publish: leader=%v flight=%v, want a cache hit", leader, fl != nil)
 	}
-	if want := coldMetrics(t, highCell.Spec); !metricsBitwiseEqual(got, want) {
-		t.Fatalf("warm-started metrics differ from cold run:\ngot  %v\nwant %v", got, want)
+	if tier != TierMemory || !metricsBitwiseEqual(m, want) {
+		t.Fatalf("re-check: tier %v metrics %v, want memory hit %v", tier, m, want)
+	}
+	if st := sched.Stats(); st.Inflight != 0 || st.Computed != 0 {
+		t.Fatalf("re-check hit left %d flights and %d computed, want 0 and 0", st.Inflight, st.Computed)
+	}
+	if misses := cache.Stats().Misses; misses != 0 {
+		t.Errorf("re-check counted %d misses, want 0", misses)
 	}
 
-	// The gate must refuse the snapshot for a lower limit than the
-	// producer's: that cell may act before the checkpoint.
-	lower := base
-	lower.LimitC = 45
-	lowerCell := mustCell(t, lower)
-	if _, origin, err = fresh.RunCell(context.Background(), lowerCell, nil); err != nil || origin != OriginComputed {
-		t.Fatalf("below-gate cell origin: %s err %v, want cold compute", origin, err)
+	// A key nobody published is led as usual.
+	if _, _, fl, leader := sched.joinOrHit(key + 1); !leader || fl == nil {
+		t.Fatalf("unpublished key: leader=%v, want leader", leader)
 	}
 }
 
-// TestSchedulerCorruptSnapshotBlob pins the fallback: a structurally
-// valid snapshot entry whose engine blob is garbage must not fail the
-// cell — Restore's error sends it down the cold sentinel path with
-// correct metrics.
-func TestSchedulerCorruptSnapshotBlob(t *testing.T) {
+// TestSchedulerWarmComputed pins warm_computed: the cells of a job's
+// prefix warm-start units report origin computed-warm and count in
+// WarmComputed, and everything else is computed cold.
+func TestSchedulerWarmComputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	sched, cache := newTestScheduler(t)
-	spec := mobisim.Scenario{
-		Platform: mobisim.PlatformOdroidXU3, Workload: "3dmark",
-		Governor: mobisim.GovAppAware, LimitC: 70, DurationS: 1, Seed: 2,
-	}
-	cell := mustCell(t, spec)
-	prefix, err := cell.Spec.PrefixKey()
+	sched, _ := newTestScheduler(t)
+	cells, err := mobisim.ExpandCells(mobisim.Matrix{
+		Platforms:  []string{mobisim.PlatformOdroidXU3},
+		Workloads:  []string{"3dmark+bml"},
+		Governors:  []string{mobisim.GovAppAware, mobisim.GovNone},
+		LimitsC:    []float64{55, 60, 65, 70},
+		Replicates: 2,
+		DurationS:  2,
+		BaseSeed:   4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cache.PutSnapshot(prefix, PrefixSnapshot{LimitC: 1, Step: 10, Blob: []byte("not an engine snapshot")}); err != nil {
+	specs := make([]mobisim.Scenario, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
+	}
+	units, err := mobisim.PlanBatchUnits(specs, 0, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, origin, err := sched.RunCell(context.Background(), cell, nil)
+	warm := 0
+	for _, u := range units {
+		if u.Warm {
+			warm += len(u.Idx)
+		}
+	}
+	if warm != 8 {
+		t.Fatalf("plan puts %d cells in warm units, want the 8 appaware cells", warm)
+	}
+	_, stats, err := sched.RunCellsBatched(context.Background(), cells, 0, 0, nil, nil)
 	if err != nil {
-		t.Fatalf("corrupt snapshot blob failed the cell: %v", err)
+		t.Fatal(err)
 	}
-	if origin != OriginComputed {
-		t.Errorf("origin: %s, want cold compute fallback", origin)
+	if got := stats.ByOrigin[OriginComputedWarm]; got != warm {
+		t.Errorf("computed-warm origins: %d, want %d", got, warm)
 	}
-	if want := coldMetrics(t, cell.Spec); !metricsBitwiseEqual(got, want) {
-		t.Error("fallback metrics differ from cold run")
+	if got := stats.ByOrigin[OriginComputed]; got != len(cells)-warm {
+		t.Errorf("computed origins: %d, want %d", got, len(cells)-warm)
+	}
+	st := sched.Stats()
+	if st.WarmComputed != uint64(warm) || st.Computed != uint64(len(cells)) {
+		t.Errorf("counters: warm_computed %d computed %d, want %d and %d", st.WarmComputed, st.Computed, warm, len(cells))
 	}
 }
 
@@ -269,7 +292,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	var runErr error
 	go func() {
 		defer wg.Done()
-		_, _, runErr = sched.RunCell(ctx, cell, nil)
+		_, _, runErr = runCell(ctx, sched, cell, nil)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for sched.Stats().Inflight == 0 {
@@ -281,7 +304,7 @@ func TestSchedulerCancellation(t *testing.T) {
 	cancel()
 	wg.Wait()
 	if runErr == nil {
-		t.Fatal("canceled RunCell returned no error")
+		t.Fatal("canceled runCell returned no error")
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for sched.Stats().Inflight != 0 {

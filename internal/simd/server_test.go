@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -330,6 +331,30 @@ func TestServerHardShutdown(t *testing.T) {
 			t.Fatalf("job state after hard shutdown: %s, want canceled", getStatus(t, ts, st.ID).State)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJobFailOnCancellationIsCanceled pins the hard-shutdown labeling:
+// canceling the daemon's base context reaches the units a running job
+// waits on before it reaches the job's own context, so the job can fail
+// with its units' cancellation while its context still reads live. Such
+// a job was canceled, not failed; a genuine error still fails it.
+func TestJobFailOnCancellationIsCanceled(t *testing.T) {
+	spec := &JobSpec{}
+	job := NewJob("j-cancel", spec, context.Background())
+	if !job.Start() {
+		t.Fatal("job did not start")
+	}
+	job.Fail(fmt.Errorf("unit: %w", context.Canceled))
+	if got := job.State(); got != JobCanceled {
+		t.Errorf("job failed by a cancellation: state %s, want %s", got, JobCanceled)
+	}
+
+	job = NewJob("j-fail", spec, context.Background())
+	job.Start()
+	job.Fail(errors.New("boom"))
+	if got := job.State(); got != JobFailed {
+		t.Errorf("job failed by an error: state %s, want %s", got, JobFailed)
 	}
 }
 

@@ -7,6 +7,14 @@ import (
 	"repro/internal/stats"
 )
 
+// Result is one completed scenario with its extracted metrics.
+type Result struct {
+	// Scenario is the point that was run.
+	Scenario Scenario
+	// Metrics maps metric names to scalar values.
+	Metrics map[string]float64
+}
+
 // Stat summarizes one metric across the seed replicates of a cell.
 type Stat struct {
 	Mean float64
@@ -35,7 +43,7 @@ type Summary struct {
 }
 
 // Aggregate folds per-scenario results into per-cell summaries. Cells
-// appear in first-occurrence order — for pool output, matrix order —
+// appear in first-occurrence order — for sweep output, matrix order —
 // and metric names are sorted within each cell, so the same result set
 // always aggregates to byte-identical summaries.
 func Aggregate(results []Result) ([]Summary, error) {

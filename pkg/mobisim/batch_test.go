@@ -1,9 +1,10 @@
 package mobisim
 
-// Differential and determinism tests for the batched sweep executor:
-// the sequential per-scenario path is the oracle, and the batched
-// path must reproduce its serialized output byte for byte — across
-// platforms, batch widths, worker counts and GOMAXPROCS settings.
+// Differential and determinism tests for the sweep's cell executor:
+// one engine per cell (RunScenarioMetrics) is the oracle, and the
+// lockstep executor must reproduce its serialized output byte for
+// byte — across platforms, lane widths, worker counts and GOMAXPROCS
+// settings.
 
 import (
 	"bytes"
@@ -27,6 +28,65 @@ func dualPlatformMatrix() Matrix {
 	}
 }
 
+// sequentialSweep is the one-engine-per-cell oracle: every cell of the
+// matrix expansion runs alone on its own engine, and the metric sets
+// fold through the same aggregation tail RunSweep uses.
+func sequentialSweep(t *testing.T, m Matrix) *SweepOutput {
+	t.Helper()
+	cells, err := ExpandCells(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := make([]map[string]float64, len(cells))
+	for i, c := range cells {
+		if metrics[i], err = RunScenarioMetrics(context.Background(), c.Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := AggregateCells(cells, metrics, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// coldUnitsSweep runs the matrix as cold lockstep units only (no warm
+// grouping), the reference warm units are compared against.
+func coldUnitsSweep(t *testing.T, m Matrix, width int) *SweepOutput {
+	t.Helper()
+	cells, err := ExpandCells(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]Scenario, len(cells))
+	for i, c := range cells {
+		specs[i] = c.Spec
+	}
+	units, err := PlanBatchUnits(specs, width, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := make([]map[string]float64, len(cells))
+	var runner BatchRunner
+	for _, u := range units {
+		if u.Warm {
+			t.Fatal("cold plan formed a warm unit")
+		}
+		out, err := runner.RunUnit(context.Background(), specs, u, width, BatchRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range u.Idx {
+			metrics[i] = out[k]
+		}
+	}
+	out, err := AggregateCells(cells, metrics, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func encodeSweep(t *testing.T, out *SweepOutput) (jsonB, csvB []byte) {
 	t.Helper()
 	var j, c bytes.Buffer
@@ -40,9 +100,9 @@ func encodeSweep(t *testing.T, out *SweepOutput) (jsonB, csvB []byte) {
 }
 
 // TestBatchedSweepMatchesSequential is the executor differential: for
-// every batch width — including width 1, the degenerate single-lane
-// batch — the batched sweep's JSON and CSV bytes must equal the
-// sequential path's on the nexus6p + odroid-xu3 matrix.
+// every lane width — including width 1, the degenerate single-lane
+// batch, and the default — the sweep's JSON and CSV bytes must equal
+// the one-engine-per-cell oracle's on the nexus6p + odroid-xu3 matrix.
 func TestBatchedSweepMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -57,8 +117,8 @@ func TestBatchedSweepMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
-	wantJSON, wantCSV := encodeSweep(t, run(SweepConfig{Workers: 1}))
-	for _, width := range []int{1, 3, 8} {
+	wantJSON, wantCSV := encodeSweep(t, sequentialSweep(t, m))
+	for _, width := range []int{0, 1, 3, 8} {
 		gotJSON, gotCSV := encodeSweep(t, run(SweepConfig{Workers: 1, BatchWidth: width}))
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("width %d: batched JSON differs from sequential:\n--- batched ---\n%s\n--- sequential ---\n%s", width, gotJSON, wantJSON)
@@ -67,21 +127,12 @@ func TestBatchedSweepMatchesSequential(t *testing.T) {
 			t.Errorf("width %d: batched CSV differs from sequential:\n--- batched ---\n%s\n--- sequential ---\n%s", width, gotCSV, wantCSV)
 		}
 	}
-	// RunSweepBatched is RunSweep with the default width filled in.
-	out, err := RunSweepBatched(context.Background(), m, SweepConfig{Workers: 1, IncludeRaw: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := encodeSweep(t, out)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Error("RunSweepBatched output differs from sequential")
-	}
 }
 
-// TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS mirrors the
-// sequential scheduler-independence pin for the batched executor: the
-// serialized output must be byte-identical whether the runtime
-// schedules the batch workers on one OS thread or eight.
+// TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS pins scheduler
+// independence at a non-default lane width: the serialized output must
+// be byte-identical whether the runtime schedules the unit workers on
+// one OS thread or eight.
 func TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -115,8 +166,8 @@ func TestBatchedSweepBytesIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestBatchedSweepCancellation mirrors the sequential cancellation
-// contract.
+// TestBatchedSweepCancellation pins the cancellation contract at a
+// non-default lane width.
 func TestBatchedSweepCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -5,21 +5,21 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
-// Exported batch-execution seam.
+// The cell executor.
 //
-// The sweep executors, the explore evaluator and the simd daemon all
-// need the same two things to run cells fast: a planner that partitions
+// Every local caller runs cells the same way: PlanBatchUnits partitions
 // fully-resolved scenarios into lockstep-compatible units (equal
-// thermal topology and step count, prefix warm-start subgrouping for
-// limit-aware cells), and a runner that executes one unit on pooled
-// batch engines with byte-exact output. PlanBatchUnits and BatchRunner
-// export that surface so external executors — the daemon's cache-miss
-// path foremost — reuse the spec-level runners instead of duplicating
-// them. Nothing reachable through this API can change output bytes:
-// unit shape, lane width, observers and context-poll cadence are all
-// wall-clock knobs.
+// thermal topology and step count, with limit-aware cells sharing a
+// warm-up prefix packed into warm units), and BatchRunner.RunUnit
+// executes one unit on pooled batch engines with byte-exact output.
+// RunSweep and the explore evaluator drive the two through runCells on
+// a sweep.TaskPool; the simd daemon calls them directly so it can
+// publish each unit into its singleflight flights. Nothing reachable
+// through this API can change output bytes: unit shape, lane width,
+// observers and context-poll cadence are all wall-clock knobs.
 
 // BatchPlanUnit is one executable unit of a batch plan: positions into
 // the planned scenario slice, all sharing a thermal topology and step
@@ -39,9 +39,11 @@ type BatchPlanUnit struct {
 // warmStart is set, limit-aware cells sharing a warm-up prefix (two or
 // more per prefix) form warm units of up to width prefix groups whose
 // sentinels advance together. Everything else becomes cold units of up
-// to width lanes. Unit shape never changes output bytes, only
-// wall-clock; every unit is independently executable, so callers
-// schedule them freely.
+// to width lanes. Every executor in this repository plans with
+// warmStart set; the cold form is the reference the tests compare
+// against. Unit shape never changes output bytes, only wall-clock;
+// every unit is independently executable, so callers schedule them
+// freely.
 func PlanBatchUnits(specs []Scenario, width int, warmStart bool) ([]BatchPlanUnit, error) {
 	if width <= 0 {
 		width = DefaultBatchWidth
@@ -131,19 +133,17 @@ type BatchRunOptions struct {
 }
 
 // BatchRunner executes planned units of fully-resolved scenarios on
-// pooled lockstep engines — the exported seam over the spec-level
-// runners the sweep executors and the explore evaluator terminate in.
-// The zero value is ready to use; one runner should serve many units so
-// the free-listed engine shells recycle across them. Safe for
-// concurrent use: units run on caller goroutines over the internally
-// synchronized pool.
+// pooled lockstep engines. The zero value is ready to use; one runner
+// should serve many units so the free-listed engine shells recycle
+// across them. Safe for concurrent use: units run on caller goroutines
+// over the internally synchronized pool.
 type BatchRunner struct {
 	pool sim.BatchPool
 }
 
 // RunUnit executes one planned unit against the spec slice the plan
 // was built from, returning metric sets in u.Idx order — each
-// bitwise-identical to a sequential Engine.Run of the same scenario.
+// bitwise-identical to an Engine.Run of the same scenario.
 // width bounds the fork-stage lane packing of warm units (<= 0 selects
 // DefaultBatchWidth); cold units were already sized by the planner.
 func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlanUnit, width int, opt BatchRunOptions) ([]map[string]float64, error) {
@@ -166,4 +166,39 @@ func (r *BatchRunner) RunUnit(ctx context.Context, specs []Scenario, u BatchPlan
 		return runWarmSpecs(ctx, &r.pool, sub, width, o)
 	}
 	return runLockstepSpecs(ctx, &r.pool, sub, o)
+}
+
+// runCells is the local cell executor behind RunSweep and the explore
+// evaluator: plan specs into units, run the units on a worker pool of
+// the given size (<= 0 uses GOMAXPROCS), and land each metric set in
+// its spec's slot. Units write disjoint slots, so the result is
+// independent of worker interleaving; the first unit error cancels
+// the rest.
+func (r *BatchRunner) runCells(ctx context.Context, specs []Scenario, width, workers int) ([]map[string]float64, error) {
+	units, err := PlanBatchUnits(specs, width, true)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]map[string]float64, len(specs))
+	tasks := make([]func(ctx context.Context) error, len(units))
+	for ui := range units {
+		u := units[ui]
+		tasks[ui] = func(ctx context.Context) error {
+			metrics, err := r.RunUnit(ctx, specs, u, width, BatchRunOptions{})
+			if err != nil {
+				first := specs[u.Idx[0]]
+				return fmt.Errorf("mobisim: unit of %d cells from %s/%s/%s seed %d: %w",
+					len(u.Idx), first.Platform, first.Workload, first.Governor, first.Seed, err)
+			}
+			for k, i := range u.Idx {
+				out[i] = metrics[k]
+			}
+			return nil
+		}
+	}
+	pool := &sweep.TaskPool{Workers: workers}
+	if err := pool.Run(ctx, tasks); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -51,7 +51,7 @@ func ExpandCells(m Matrix) ([]Cell, error) {
 	}
 	cells := make([]Cell, len(scenarios))
 	for i, sc := range scenarios {
-		spec := warmSpec(sc)
+		spec := cellSpec(sc)
 		key, err := spec.CellKey()
 		if err != nil {
 			return nil, fmt.Errorf("mobisim: cell %d (%s): %w", sc.Index, sc.Key(), err)

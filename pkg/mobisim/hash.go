@@ -26,7 +26,8 @@ import (
 //     removed. Cells that agree on PrefixKey follow bitwise-identical
 //     trajectories until the first limit-dependent control action, so
 //     a sweep executor may simulate the prefix once, snapshot, and
-//     fork each cell from the restored state (SweepConfig.WarmStart).
+//     fork each cell from the restored state (PlanBatchUnits' warm
+//     units).
 //     The seed participates in the prefix: replicates form separate
 //     prefix groups, each groupable across the limit axis.
 //
@@ -38,15 +39,12 @@ const (
 	prefixKeyDomain = "mobisim/prefixkey/v1\x00"
 )
 
-// CellKeyDomain and PrefixKeyDomain export the versioned domain
-// strings, so external stores (the simd daemon's on-disk result cache,
-// shard protocols) can derive their layout from the same version the
-// hashes are computed under: bumping a domain here automatically
-// retires every store location derived from it.
-const (
-	CellKeyDomain   = cellKeyDomain
-	PrefixKeyDomain = prefixKeyDomain
-)
+// CellKeyDomain exports the versioned cell-key domain string, so
+// external stores (the simd daemon's on-disk result cache, shard
+// protocols) can derive their layout from the same version the hashes
+// are computed under: bumping the domain here automatically retires
+// every store location derived from it.
+const CellKeyDomain = cellKeyDomain
 
 // CellKey returns the scenario's content hash: a stable 64-bit key over
 // the normalized scenario and its fully-resolved platform content. It

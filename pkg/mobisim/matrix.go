@@ -15,8 +15,8 @@ import (
 // Matrix is the declarative, JSON-serializable sweep counterpart of
 // Scenario: per-axis value lists whose cartesian product (times seed
 // replicates) expands into many scenarios. RunSweep executes the
-// expansion on a parallel worker pool and folds the results into
-// per-cell statistics.
+// expansion on the cell executor and folds the results into per-cell
+// statistics.
 type Matrix struct {
 	// Platforms, Workloads, Governors and LimitsC are the sweep axes;
 	// each needs at least one value. Platforms accepts the built-in
@@ -259,10 +259,11 @@ func expandScenarios(m sweep.Matrix) ([]sweep.Scenario, error) {
 	return append(scenarios, tail...), nil
 }
 
-// RunScenarioMetrics runs one scenario in constant memory (recording
-// disabled, background kernels model-only) and returns its scalar
-// metrics. It is the sweep pool's unit of work, exported so external
-// pools can reuse it.
+// RunScenarioMetrics runs one scenario on its own engine in constant
+// memory (recording disabled, background kernels model-only) and
+// returns its scalar metrics: one cell of a sweep, byte-identical to
+// the cell's metrics from RunSweep. It is the one-engine-per-cell
+// reference the executor's tests compare against.
 func RunScenarioMetrics(ctx context.Context, spec Scenario, opts ...Option) (map[string]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -320,39 +321,28 @@ type SweepOutput struct {
 	Results   []SweepResult  `json:"results,omitempty"`
 }
 
-// SweepConfig tunes sweep execution.
+// SweepConfig tunes sweep execution. No field changes output bytes.
 type SweepConfig struct {
 	// Workers is the pool concurrency; <= 0 uses GOMAXPROCS. Results
 	// are byte-identical for any worker count.
 	Workers int
 	// IncludeRaw retains raw per-scenario results in the output.
 	IncludeRaw bool
-	// BatchWidth switches the sweep onto the batched lockstep executor:
-	// scenarios are grouped by platform, packed into batches of at most
-	// BatchWidth lanes, and stepped together through the fused
-	// structure-of-arrays kernel on pooled, reusable engines. 0 keeps
-	// the sequential per-scenario path (the oracle the batched path is
-	// differentially tested against); widths above 1 trade a larger
-	// per-worker working set for fused-kernel throughput, with 8
-	// (DefaultBatchWidth) the sweet spot on typical L1 sizes. Output
-	// bytes are identical for every width, including 0.
+	// BatchWidth is the lockstep lane width: cells sharing a thermal
+	// topology are packed into units of at most this many lanes and
+	// stepped together through the fused structure-of-arrays kernel on
+	// pooled engines. <= 0 selects DefaultBatchWidth, the sweet spot on
+	// typical L1 sizes. Output bytes are identical for every width.
 	BatchWidth int
-	// WarmStart groups limit-aware cells by prefix content key
-	// (Scenario.PrefixKey), simulates each group's shared warm-up
-	// prefix once, snapshots the engine, and forks every member from
-	// the restored state instead of re-simulating the prefix per cell
-	// — the big win on replicate-heavy matrices sweeping the limits
-	// axis. Cells that do not group (limit-agnostic arms, singleton
-	// groups) run on the cold path selected by BatchWidth. Output
-	// bytes are identical with and without WarmStart (the sweep tests
-	// pin this); only execution cost changes.
-	WarmStart bool
 }
 
-// RunSweep expands the matrix and executes it on the parallel worker
-// pool, streaming per-scenario aggregates (scenario runs are
-// constant-memory: no trace series are materialized). It stops early
-// on the first scenario error or on context cancellation.
+// RunSweep expands the matrix and executes it on the cell executor:
+// cells are planned into lockstep units (limit-aware cells sharing a
+// warm-up prefix simulate it once and fork from a checkpoint), the
+// units run on a parallel worker pool, and the per-cell metrics fold
+// into per-cell-group statistics. Runs are constant-memory: no trace
+// series are materialized. It stops early on the first cell error or
+// on context cancellation.
 func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, error) {
 	m.Normalize()
 	if err := m.Validate(); err != nil {
@@ -362,21 +352,35 @@ func RunSweep(ctx context.Context, m Matrix, cfg SweepConfig) (*SweepOutput, err
 	if err != nil {
 		return nil, fmt.Errorf("mobisim: %w", err)
 	}
-	var results []sweep.Result
-	if cfg.WarmStart {
-		results, err = runWarmSweep(ctx, scenarios, cfg)
-	} else if cfg.BatchWidth > 0 {
-		runner := &batchRunner{}
-		pool := &sweep.BatchPool{Workers: cfg.Workers, Width: cfg.BatchWidth, RunFunc: runner.run}
-		results, err = pool.Run(ctx, scenarios)
-	} else {
-		pool := &sweep.Pool{Workers: cfg.Workers, RunFunc: runSweepScenario}
-		results, err = pool.Run(ctx, scenarios)
+	specs := make([]Scenario, len(scenarios))
+	for i, sc := range scenarios {
+		specs[i] = cellSpec(sc)
 	}
+	var runner BatchRunner
+	metrics, err := runner.runCells(ctx, specs, cfg.BatchWidth, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
+	results := make([]sweep.Result, len(scenarios))
+	for i, sc := range scenarios {
+		results[i] = sweep.Result{Scenario: sc, Metrics: metrics[i]}
+	}
 	return buildSweepOutput(results, cfg.IncludeRaw)
+}
+
+// cellSpec maps one expanded sweep point to the facade scenario the
+// executor runs. ExpandCells uses the same mapping, so the content keys
+// address the simulated cell, not a variant of it.
+func cellSpec(sc sweep.Scenario) Scenario {
+	return Scenario{
+		Platform:     sc.Platform,
+		Workload:     sc.Workload,
+		Governor:     sc.Governor,
+		LimitC:       sc.LimitC,
+		DurationS:    sc.DurationS,
+		Seed:         sc.Seed,
+		ModelOnlyBML: true,
+	}
 }
 
 // buildSweepOutput folds raw per-scenario results into the sweep's
@@ -413,19 +417,6 @@ func buildSweepOutput(results []sweep.Result, includeRaw bool) (*SweepOutput, er
 		}
 	}
 	return out, nil
-}
-
-// runSweepScenario adapts one expanded sweep point to the facade's
-// constant-memory scenario runner.
-func runSweepScenario(ctx context.Context, sc sweep.Scenario) (map[string]float64, error) {
-	return RunScenarioMetrics(ctx, Scenario{
-		Platform:  sc.Platform,
-		Workload:  sc.Workload,
-		Governor:  sc.Governor,
-		LimitC:    sc.LimitC,
-		DurationS: sc.DurationS,
-		Seed:      sc.Seed,
-	})
 }
 
 // EncodeJSON writes the sweep output as indented JSON — the stable

@@ -47,21 +47,16 @@ type CellRunner interface {
 type OptimizeConfig struct {
 	// Workers is the execution-unit concurrency; <= 0 uses GOMAXPROCS.
 	Workers int
-	// BatchWidth is the lockstep lane count per batch; 0 selects
-	// DefaultBatchWidth, 1 is the scalar-equivalent single-lane
-	// configuration. Negative widths are rejected.
+	// BatchWidth is the lockstep lane count per unit; <= 0 selects
+	// DefaultBatchWidth.
 	BatchWidth int
-	// NoWarmStart disables prefix warm-start grouping; the zero value
-	// keeps it on (neighbors along a limit axis share their prefix, so
-	// warm groups are the common case in a search).
-	NoWarmStart bool
 	// Cache optionally shares results across searches and with sweep
 	// runs (cmd/explore wires the simd result cache here).
 	Cache CellCache
 	// Runner, when set, evaluates each generation's cache-miss cells
 	// instead of the local engine pool (cmd/explore wires the simd
-	// daemon client here). Workers, BatchWidth and NoWarmStart are
-	// then the remote executor's concern.
+	// daemon client here). Workers and BatchWidth are then the remote
+	// executor's concern.
 	Runner CellRunner
 }
 
@@ -69,21 +64,14 @@ type OptimizeConfig struct {
 // seeded hill-climb (internal/explore) whose candidates are evaluated
 // as lockstep batches on pooled engines, deduplicated by CellKey in a
 // persistent per-search store. Identical spec (and seed) produces a
-// bitwise-identical SearchResult regardless of Workers, BatchWidth and
-// warm-start configuration; with a Cache attached, only provenance
+// bitwise-identical SearchResult regardless of Workers and
+// BatchWidth; with a Cache attached, only provenance
 // fields (cached flags and hit counters) can differ.
 func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*SearchResult, error) {
 	spec.Scenario = spec.Scenario.cloneRefs()
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.BatchWidth < 0 {
-		return nil, fmt.Errorf("mobisim: optimize batch width must be >= 0, got %d", cfg.BatchWidth)
-	}
-	width := cfg.BatchWidth
-	if width == 0 {
-		width = DefaultBatchWidth
 	}
 	plan, err := buildSearchPlan(spec)
 	if err != nil {
@@ -92,7 +80,6 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 	ev := &cellEvaluator{
 		plan:     plan,
 		cfg:      cfg,
-		width:    width,
 		store:    make(map[uint64]map[string]float64),
 		minimize: spec.Objective.Goal == GoalMinimize,
 	}
@@ -112,11 +99,11 @@ func Optimize(ctx context.Context, spec OptimizeSpec, cfg OptimizeConfig) (*Sear
 // cellEvaluator is the explore.EvalFunc behind Optimize: it
 // materializes candidates, resolves their replicate cells against the
 // dedup store and the external cache, and simulates the remaining
-// cells as warm packs and lockstep batches on one shared engine pool.
+// cells on the cell executor with one engine pool shared across
+// generations.
 type cellEvaluator struct {
 	plan   *searchPlan
 	cfg    OptimizeConfig
-	width  int
 	runner BatchRunner
 	// store is the deduplicating candidate store: CellKey → metrics
 	// for every cell resolved during this search.
@@ -193,19 +180,19 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 	}
 
 	if len(misses) > 0 {
+		specs := make([]Scenario, len(misses))
+		for i, mj := range misses {
+			specs[i] = mj.spec
+		}
 		var results []map[string]float64
 		var err error
 		if e.cfg.Runner != nil {
-			specs := make([]Scenario, len(misses))
-			for i, mj := range misses {
-				specs[i] = mj.spec
-			}
 			results, err = e.cfg.Runner.RunScenarios(ctx, specs)
 			if err == nil && len(results) != len(misses) {
 				err = fmt.Errorf("mobisim: optimize runner returned %d metric sets for %d cells", len(results), len(misses))
 			}
 		} else {
-			results, err = e.runCells(ctx, misses)
+			results, err = e.runner.runCells(ctx, specs, e.cfg.BatchWidth, e.cfg.Workers)
 		}
 		if err != nil {
 			return nil, err
@@ -248,48 +235,6 @@ func (e *cellEvaluator) evaluate(ctx context.Context, gen int, pts []explore.Poi
 		evals[pi] = ev
 	}
 	return evals, nil
-}
-
-// runCells simulates the generation's deduplicated misses through the
-// exported batch seam: PlanBatchUnits groups cells by thermal-topology
-// compatibility (only topology-equal lanes may share a lockstep batch)
-// with limit-aware cells sharing a warm-up prefix as warm-start packs,
-// and all units execute on the shared worker pool writing disjoint
-// result slots. Grouping changes wall-clock only: every executor is
-// byte-exact, so the returned metrics are independent of unit shape
-// and worker interleaving.
-func (e *cellEvaluator) runCells(ctx context.Context, jobs []missJob) ([]map[string]float64, error) {
-	out := make([]map[string]float64, len(jobs))
-	specs := make([]Scenario, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.spec
-	}
-	units, err := PlanBatchUnits(specs, e.width, !e.cfg.NoWarmStart)
-	if err != nil {
-		return nil, err
-	}
-	tasks := make([]func(ctx context.Context) error, len(units))
-	for ui := range units {
-		u := units[ui]
-		tasks[ui] = func(ctx context.Context) error {
-			metrics, err := e.runner.RunUnit(ctx, specs, u, e.width, BatchRunOptions{})
-			if err != nil {
-				return err
-			}
-			if len(metrics) != len(u.Idx) {
-				return fmt.Errorf("mobisim: optimize unit returned %d metric sets for %d cells", len(metrics), len(u.Idx))
-			}
-			for k, ji := range u.Idx {
-				out[ji] = metrics[k]
-			}
-			return nil
-		}
-	}
-	pool := &sweep.TaskPool{Workers: e.cfg.Workers}
-	if err := pool.Run(ctx, tasks); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // thermalTopoKey hashes the platform content that must be equal for

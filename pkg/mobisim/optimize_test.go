@@ -65,16 +65,32 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// sequentialRunner evaluates every cell alone on its own engine: no
+// lockstep lanes and no warm units.
+type sequentialRunner struct{}
+
+func (sequentialRunner) RunScenarios(ctx context.Context, specs []Scenario) ([]map[string]float64, error) {
+	out := make([]map[string]float64, len(specs))
+	for i, spec := range specs {
+		m, err := RunScenarioMetrics(ctx, spec)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
 // TestOptimizeExecutorEquivalence pins that the execution shape —
-// scalar-equivalent single-lane batches, wide batches, odd widths,
-// warm-start on or off — never changes output bytes.
+// single-lane batches, wide batches, odd widths, and one engine per
+// cell without warm units — never changes output bytes.
 func TestOptimizeExecutorEquivalence(t *testing.T) {
 	_, base := optimizeJSON(t, testOptimizeSpec(), OptimizeConfig{})
 	for _, cfg := range []OptimizeConfig{
-		{BatchWidth: 1, NoWarmStart: true},
+		{BatchWidth: 1},
 		{BatchWidth: 8},
 		{BatchWidth: 3, Workers: 4},
-		{NoWarmStart: true},
+		{Runner: sequentialRunner{}},
 	} {
 		_, got := optimizeJSON(t, testOptimizeSpec(), cfg)
 		if !bytes.Equal(base, got) {

@@ -173,8 +173,8 @@ func TestScenarioWithRegisteredAndInlinePlatform(t *testing.T) {
 // TestSweepMatchesFrozenPresetConstructors is the acceptance-criteria
 // differential: a dual-platform sweep run against the production
 // spec-compiled presets must serialize to exactly the bytes the frozen
-// pre-refactor Go constructors produce — on the sequential path, the
-// batched lockstep path, and under GOMAXPROCS 1 and 8.
+// pre-refactor Go constructors produce with one engine per cell — at
+// the default and non-default lane widths, under GOMAXPROCS 1 and 8.
 func TestSweepMatchesFrozenPresetConstructors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -199,7 +199,7 @@ func TestSweepMatchesFrozenPresetConstructors(t *testing.T) {
 	origOdroid := builtinPlatformCtors[PlatformOdroidXU3]
 	builtinPlatformCtors[PlatformNexus6P] = frozen.Nexus6P
 	builtinPlatformCtors[PlatformOdroidXU3] = frozen.OdroidXU3
-	wantJSON, wantCSV := run(SweepConfig{Workers: 2}, 8)
+	wantJSON, wantCSV := encodeSweep(t, sequentialSweep(t, m))
 	builtinPlatformCtors[PlatformNexus6P] = origNexus
 	builtinPlatformCtors[PlatformOdroidXU3] = origOdroid
 
@@ -208,10 +208,10 @@ func TestSweepMatchesFrozenPresetConstructors(t *testing.T) {
 		cfg   SweepConfig
 		procs int
 	}{
-		{"scalar", SweepConfig{Workers: 2}, 8},
-		{"batched", SweepConfig{Workers: 2, BatchWidth: DefaultBatchWidth}, 8},
-		{"scalar GOMAXPROCS=1", SweepConfig{Workers: 4}, 1},
-		{"batched GOMAXPROCS=1", SweepConfig{Workers: 4, BatchWidth: 3}, 1},
+		{"default width", SweepConfig{Workers: 2}, 8},
+		{"width 1", SweepConfig{Workers: 2, BatchWidth: 1}, 8},
+		{"default width GOMAXPROCS=1", SweepConfig{Workers: 4}, 1},
+		{"width 3 GOMAXPROCS=1", SweepConfig{Workers: 4, BatchWidth: 3}, 1},
 	}
 	for _, tc := range cases {
 		gotJSON, gotCSV := run(tc.cfg, tc.procs)
@@ -227,8 +227,9 @@ func TestSweepMatchesFrozenPresetConstructors(t *testing.T) {
 
 // TestNovelPlatformGeneratorSweep pins the opened scenario space: a
 // sweep over a spec-defined platform running a seeded generator
-// workload must execute on both executors and serialize byte-identical
-// output, including across GOMAXPROCS settings.
+// workload must serialize output byte-identical to one engine per cell
+// at every worker count and lane width, including across GOMAXPROCS
+// settings.
 func TestNovelPlatformGeneratorSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -260,12 +261,13 @@ func TestNovelPlatformGeneratorSweep(t *testing.T) {
 		}
 		return encodeSweep(t, out)
 	}
-	wantJSON, wantCSV := run(SweepConfig{Workers: 1}, 8)
+	wantJSON, wantCSV := encodeSweep(t, sequentialSweep(t, m))
 	for _, tc := range []struct {
 		name  string
 		cfg   SweepConfig
 		procs int
 	}{
+		{"serial", SweepConfig{Workers: 1}, 8},
 		{"parallel", SweepConfig{Workers: 4}, 8},
 		{"batched", SweepConfig{Workers: 2, BatchWidth: 4}, 8},
 		{"batched GOMAXPROCS=1", SweepConfig{Workers: 4, BatchWidth: 4}, 1},

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"repro/internal/sweep"
 )
 
-// TestWarmStartByteIdentity is the warm executor's contract test: for
+// TestWarmStartByteIdentity is the warm units' contract test: for
 // matrices covering the fork path (limits the sentinel crosses early),
-// the never-acts full-copy path, and mixed governor arms, the warm
-// sweep output must be byte-identical to the cold output — scalar and
-// batched, including raw per-cell metrics.
+// the never-acts full-copy path, and mixed governor arms, RunSweep's
+// output must be byte-identical to cold lockstep units and to one
+// engine per cell, including raw per-cell metrics.
 func TestWarmStartByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -64,26 +62,27 @@ func TestWarmStartByteIdentity(t *testing.T) {
 				}
 				return out
 			}
-			coldJSON, coldCSV := encodeSweep(t, run(SweepConfig{Workers: 2}))
+			coldJSON, coldCSV := encodeSweep(t, sequentialSweep(t, m))
+			unitsJSON, unitsCSV := encodeSweep(t, coldUnitsSweep(t, m, DefaultBatchWidth))
+			if !bytes.Equal(coldJSON, unitsJSON) || !bytes.Equal(coldCSV, unitsCSV) {
+				t.Errorf("cold lockstep units differ from one engine per cell:\ncold:\n%s\nunits:\n%s", coldJSON, unitsJSON)
+			}
 
-			warmJSON, warmCSV := encodeSweep(t, run(SweepConfig{Workers: 2, WarmStart: true}))
+			warmJSON, warmCSV := encodeSweep(t, run(SweepConfig{Workers: 2}))
 			if !bytes.Equal(coldJSON, warmJSON) {
-				t.Errorf("warm scalar JSON differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmJSON)
+				t.Errorf("warm JSON differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmJSON)
 			}
 			if !bytes.Equal(coldCSV, warmCSV) {
-				t.Errorf("warm scalar CSV differs from cold")
+				t.Errorf("warm CSV differs from cold")
 			}
 
-			warmBatchJSON, warmBatchCSV := encodeSweep(t, run(SweepConfig{Workers: 2, WarmStart: true, BatchWidth: DefaultBatchWidth}))
-			if !bytes.Equal(coldJSON, warmBatchJSON) {
-				t.Errorf("warm batched JSON differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmBatchJSON)
-			}
-			if !bytes.Equal(coldCSV, warmBatchCSV) {
-				t.Errorf("warm batched CSV differs from cold")
+			narrowJSON, narrowCSV := encodeSweep(t, run(SweepConfig{Workers: 2, BatchWidth: 1}))
+			if !bytes.Equal(coldJSON, narrowJSON) || !bytes.Equal(coldCSV, narrowCSV) {
+				t.Errorf("width-1 warm output differs from cold")
 			}
 
 			// Worker-count independence holds on the warm path too.
-			serialJSON, _ := encodeSweep(t, run(SweepConfig{Workers: 1, WarmStart: true, BatchWidth: 3}))
+			serialJSON, _ := encodeSweep(t, run(SweepConfig{Workers: 1, BatchWidth: 3}))
 			if !bytes.Equal(coldJSON, serialJSON) {
 				t.Errorf("warm output depends on worker count or batch width")
 			}
@@ -91,10 +90,10 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmStartPlan pins the grouping policy: limit-aware cells group
-// across the limits axis per replicate, limit-agnostic and singleton
-// cells stay cold, and every expansion position is covered exactly
-// once.
+// TestWarmStartPlan pins the grouping policy of PlanBatchUnits: limit-
+// aware cells group across the limits axis per replicate into warm
+// units, limit-agnostic and singleton cells go to cold units, and every
+// cell is covered exactly once.
 func TestWarmStartPlan(t *testing.T) {
 	m := Matrix{
 		Platforms:  []string{PlatformOdroidXU3},
@@ -105,73 +104,85 @@ func TestWarmStartPlan(t *testing.T) {
 		DurationS:  1,
 		BaseSeed:   1,
 	}
-	m.Normalize()
-	scenarios, err := expandScenarios(m.sweepMatrix())
-	if err != nil {
-		t.Fatal(err)
+	specsOf := func(m Matrix) []Scenario {
+		t.Helper()
+		cells, err := ExpandCells(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := make([]Scenario, len(cells))
+		for i, c := range cells {
+			specs[i] = c.Spec
+		}
+		return specs
 	}
+	specs := specsOf(m)
 	// 2 replicates * 3 limits appaware + 2 replicates * 1 collapsed ipa.
-	if len(scenarios) != 8 {
-		t.Fatalf("expansion has %d scenarios, want 8", len(scenarios))
+	if len(specs) != 8 {
+		t.Fatalf("expansion has %d cells, want 8", len(specs))
 	}
-	plan, err := planWarmStart(scenarios)
+	units, err := PlanBatchUnits(specs, DefaultBatchWidth, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(plan.groups) != 2 {
-		t.Fatalf("plan has %d warm groups, want 2 (one per replicate)", len(plan.groups))
 	}
 	covered := make(map[int]int)
-	for g, pos := range plan.groupPos {
-		if len(pos) != 3 {
-			t.Errorf("group %d has %d members, want 3 (the limits axis)", g, len(pos))
-		}
-		seed := scenarios[pos[0]].Seed
-		for _, p := range pos {
-			covered[p]++
-			if !limitAware(scenarios[p].Governor) {
-				t.Errorf("limit-agnostic scenario %d landed in a warm group", p)
+	groups := 0
+	for _, u := range units {
+		for _, i := range u.Idx {
+			covered[i]++
+			if u.Warm != limitAware(specs[i].Governor) {
+				t.Errorf("cell %d (%s, limit %g) in a unit with warm=%v", i, specs[i].Governor, specs[i].LimitC, u.Warm)
 			}
-			if scenarios[p].Seed != seed {
-				t.Errorf("group %d mixes seeds %d and %d", g, seed, scenarios[p].Seed)
+		}
+		if !u.Warm {
+			continue
+		}
+		sub := make([]Scenario, len(u.Idx))
+		for k, i := range u.Idx {
+			sub[k] = specs[i]
+		}
+		parts, err := partitionWarmSpecs(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, part := range parts {
+			groups++
+			if len(part) != 3 {
+				t.Errorf("group %d has %d members, want 3 (the limits axis)", g, len(part))
+			}
+			for _, k := range part {
+				if sub[k].Seed != sub[part[0]].Seed {
+					t.Errorf("group %d mixes seeds %d and %d", g, sub[part[0]].Seed, sub[k].Seed)
+				}
 			}
 		}
 	}
-	for _, p := range plan.coldPos {
-		covered[p]++
-		if limitAware(scenarios[p].Governor) {
-			t.Errorf("appaware scenario %d (limit %g) fell off the warm plan", p, scenarios[p].LimitC)
-		}
+	if groups != 2 {
+		t.Errorf("plan has %d warm groups, want 2 (one per replicate)", groups)
 	}
-	for i := range scenarios {
+	for i := range specs {
 		if covered[i] != 1 {
-			t.Errorf("scenario %d covered %d times, want exactly once", i, covered[i])
+			t.Errorf("cell %d covered %d times, want exactly once", i, covered[i])
 		}
 	}
 
 	// A single-limit matrix yields singleton prefix groups: everything
-	// stays cold, and warm-start degenerates to the cold executor.
+	// runs in cold units.
 	single := m
 	single.LimitsC = []float64{55}
-	single.Normalize()
-	scenarios, err = expandScenarios(single.sweepMatrix())
+	units, err = PlanBatchUnits(specsOf(single), DefaultBatchWidth, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = planWarmStart(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.groups) != 0 {
-		t.Errorf("single-limit matrix formed %d warm groups, want 0", len(plan.groups))
-	}
-	if len(plan.coldPos) != len(scenarios) {
-		t.Errorf("cold set has %d cells, want all %d", len(plan.coldPos), len(scenarios))
+	for _, u := range units {
+		if u.Warm {
+			t.Errorf("single-limit matrix formed a warm unit %v", u.Idx)
+		}
 	}
 }
 
-// TestWarmStartCancellation checks the warm path honors context
-// cancellation like the cold pools.
+// TestWarmStartCancellation checks a sweep whose cells form a warm
+// unit honors context cancellation.
 func TestWarmStartCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -183,32 +194,7 @@ func TestWarmStartCancellation(t *testing.T) {
 		DurationS: 1,
 		BaseSeed:  1,
 	}
-	if _, err := RunSweep(ctx, m, SweepConfig{WarmStart: true}); err == nil {
+	if _, err := RunSweep(ctx, m, SweepConfig{}); err == nil {
 		t.Error("canceled context should abort the warm sweep")
-	}
-}
-
-// TestGroupPoolContract pins the group pool's error handling: empty
-// groups and mismatched metric counts are rejected.
-func TestGroupPoolContract(t *testing.T) {
-	ctx := context.Background()
-	sc := sweep.Scenario{Platform: "p", Workload: "w", Governor: "g", DurationS: 1}
-	ok := func(_ context.Context, group []sweep.Scenario) ([]map[string]float64, error) {
-		return make([]map[string]float64, len(group)), nil
-	}
-	pool := &sweep.GroupPool{RunFunc: ok}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{}}); err == nil {
-		t.Error("empty group should be rejected")
-	}
-	short := func(context.Context, []sweep.Scenario) ([]map[string]float64, error) {
-		return nil, nil
-	}
-	pool = &sweep.GroupPool{RunFunc: short}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{sc}}); err == nil {
-		t.Error("metric-count mismatch should be rejected")
-	}
-	pool = &sweep.GroupPool{}
-	if _, err := pool.Run(ctx, [][]sweep.Scenario{{sc}}); err == nil {
-		t.Error("missing RunFunc should be rejected")
 	}
 }
